@@ -9,11 +9,14 @@ Two families of benchmarks:
   assertion that the cached interpreter is >= 2x the uncached one on
   the same program, plus absolute floors with CI-noise margin.
 
-Reference numbers (container this PR was developed in):
+Reference numbers: medians of 5 runs of ``_device_ips`` on the hot loop
+below, 2-vCPU x86-64 container, CPython 3.11.  Both are
+``Device.run_steps`` rates with the decode cache on, not a bare
+``Cpu.step`` loop:
 
-* raw ``Cpu.step`` loop: ~94k instr/s uncached (pre-PR baseline),
-  ~380k instr/s cached;
-* monitored device step (``security="casu"``): ~38k -> ~118k instr/s.
+* unmonitored device (``security="none"``, reported as
+  ``raw_instr_per_sec``): ~150k instr/s;
+* monitored device (``security="casu"``): ~137k instr/s.
 """
 
 import gc
@@ -24,8 +27,9 @@ from repro.eval.microbench import measure_micro, render_micro
 from repro.obs.metrics import METRICS
 from repro.toolchain import link, parse_source
 
-# Absolute floors, far below the reference machine so CI noise cannot
-# trip them (reference: ~380k raw / ~118k monitored).
+# Absolute floors, below the reference numbers in the module docstring
+# (~150k unmonitored / ~137k monitored Device) so CI noise cannot trip
+# them.
 RAW_FLOOR_IPS = 120_000
 MONITORED_FLOOR_IPS = 40_000
 # The tentpole gate: cached vs. uncached on the same machine.
@@ -92,7 +96,11 @@ def test_bench_micro_paths(benchmark, capsys):
 
 
 def test_bench_interpreter_throughput(benchmark):
-    """Instructions/sec floors on the unmonitored and monitored paths."""
+    """Instructions/sec floors on the unmonitored and monitored paths.
+
+    ``raw_instr_per_sec`` is a ``security="none"`` Device, not a bare
+    ``Cpu.step`` loop.
+    """
     program = _hot_program()
 
     def measure():

@@ -1,33 +1,42 @@
-"""Hardware monitor: per-cycle checks over CPU bus signals.
+"""Hardware monitor: one table-driven check over the CPU's bus signals.
 
-The monitor is composed of independent sub-monitors, mirroring the
-formally verified sub-property FSMs of the VRASED/CASU lineage:
+CASU's hardware is a handful of small, formally verified FSMs
+(the VRASED/CASU decomposition), and EILID adds a secure shadow-stack
+bank and a violation port.  :mod:`repro.verification.properties` holds
+the abstract FSMs; :meth:`HardwareMonitor.observe` evaluates all of them
+for one :class:`repro.cpu.StepRecord` in a single pass over its bus
+accesses, looking each address up in the 64 KB attribute table of
+:class:`repro.memory.map.MemoryLayout`.  Which line mirrors which FSM:
 
-* :class:`WxorXMonitor` -- no instruction fetch outside executable
-  regions (PMEM + secure ROM); blocks code injection.
-* :class:`PmemGuardMonitor` -- no PMEM/IVT write unless an authenticated
-  update session is open and the write is issued from secure ROM.
-* :class:`SecureRamGuardMonitor` -- the shadow-stack bank is accessible
-  only while the PC is inside secure ROM (the EILID hardware extension).
-* :class:`RomAtomicityMonitor` -- secure ROM is entered only at declared
-  entry points, left only from the declared exit ranges, and never
-  interrupted.
-* :class:`ViolationPortMonitor` -- converts trusted-software CFI check
-  failures (a write to the violation port from ROM) into resets, and
-  treats any *untrusted* write to that port as an attack.
-* :class:`IllegalInstructionMonitor` -- undefined opcodes reset.
+* ``w_xor_x_fsm`` -- a FETCH whose address lacks the ``_F_EXEC`` bit
+  (code injection);
+* ``pmem_guard_fsm`` -- a WRITE to a ``_F_PMEM`` address, unless the PC
+  is in secure ROM *and* an authenticated update session is open;
+* ``secure_ram_fsm`` -- a READ or WRITE of a ``_F_SDMEM`` address
+  (the shadow-stack bank) while the PC is outside secure ROM;
+* ``rom_atomicity_fsm`` -- the ``(pc, next_pc, kind)`` test: ROM is
+  entered only at a declared entry point, left only from a declared
+  exit range, and never interrupted;
 
-Each sub-monitor sees every :class:`repro.cpu.StepRecord` and returns a
-:class:`Violation` or ``None``.  The composition stops at the first
-violation (hardware ORs the violation wires into one reset line).
+plus two checks with no FSM of their own: a WRITE to the violation port
+(from ROM, EILIDsw reporting a failed CFI check; from anywhere else, an
+attack) and an ILLEGAL step.  The ROM-atomicity FSM's ``IN_ROM`` state
+is the PC's ``_F_SROM`` bit, so that check keeps no state of its own;
+the PMEM guard's update session is the monitor's only mutable state.
+
+Hardware ORs the violation wires into one reset line.  When several
+fire in one step the reported reason is the first in the order
+W-xor-X, PMEM, secure RAM, ROM atomicity, violation port, illegal
+instruction, and each reason reports the first access that trips it.
 """
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.cpu.core import StepKind
 from repro.memory.bus import AccessKind
+from repro.memory.map import _F_EXEC, _F_PMEM, _F_SDMEM, _F_SROM
 from repro.peripherals.ports import VIOLATION_PORT
 
 
@@ -76,21 +85,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class RomConfig:
-    """Trusted-ROM shape the atomicity monitor enforces."""
+    """Trusted-ROM shape the atomicity check enforces."""
 
     entry_points: Tuple[int, ...] = ()
     exit_ranges: Tuple[Tuple[int, int], ...] = ()  # inclusive address ranges
 
-    def is_entry(self, addr):
-        return addr in self.entry_points
-
-    def in_exit_range(self, addr):
-        return any(start <= addr <= end for start, end in self.exit_ranges)
-
 
 @dataclass
 class MonitorPolicy:
-    """Which sub-monitors are armed.
+    """Which checks are armed.
 
     ``casu()`` is the base active-RoT configuration; ``eilid()`` adds
     the secure shadow-stack bank guard and the CFI violation port.
@@ -112,156 +115,101 @@ class MonitorPolicy:
         return MonitorPolicy(secure_ram_guard=True, violation_port=True)
 
 
-class _SubMonitor:
-    name = "sub-monitor"
-
-    def reset(self):
-        """Return to the power-on state (called after a device reset)."""
-
-    def check(self, step, layout):
-        raise NotImplementedError
-
-
-class WxorXMonitor(_SubMonitor):
-    name = "w-xor-x"
-
-    def check(self, step, layout):
-        for access in step.accesses:
-            if access.kind is AccessKind.FETCH and not layout.is_executable(access.addr):
-                return Violation(ViolationReason.W_XOR_X, step.pc, access.addr)
-        return None
-
-
-class PmemGuardMonitor(_SubMonitor):
-    name = "pmem-guard"
-
-    def __init__(self):
-        self.update_session_open = False
-
-    def reset(self):
-        self.update_session_open = False
-
-    def check(self, step, layout):
-        for access in step.accesses:
-            if access.kind is not AccessKind.WRITE:
-                continue
-            if not layout.in_pmem(access.addr):
-                continue
-            allowed = self.update_session_open and layout.in_secure_rom(step.pc)
-            if not allowed:
-                return Violation(ViolationReason.PMEM_WRITE, step.pc, access.addr)
-        return None
-
-
-class SecureRamGuardMonitor(_SubMonitor):
-    name = "secure-ram-guard"
-
-    def check(self, step, layout):
-        for access in step.accesses:
-            if access.kind is AccessKind.FETCH:
-                continue  # fetches are W-xor-X's problem
-            if layout.in_secure_dmem(access.addr) and not layout.in_secure_rom(step.pc):
-                return Violation(ViolationReason.SECURE_RAM_ACCESS, step.pc, access.addr)
-        return None
-
-
-class RomAtomicityMonitor(_SubMonitor):
-    name = "rom-atomicity"
-
-    def __init__(self, rom_config: RomConfig):
-        self.rom_config = rom_config
-
-    def check(self, step, layout):
-        was_in = layout.in_secure_rom(step.pc)
-        now_in = layout.in_secure_rom(step.next_pc)
-        if step.kind is StepKind.INTERRUPT and was_in:
-            return Violation(ViolationReason.IRQ_IN_ROM, step.pc)
-        if not was_in and now_in and not self.rom_config.is_entry(step.next_pc):
-            return Violation(ViolationReason.ROM_ENTRY, step.pc, step.next_pc)
-        if was_in and not now_in and not self.rom_config.in_exit_range(step.pc):
-            return Violation(ViolationReason.ROM_EXIT, step.pc, step.next_pc)
-        return None
-
-
-class ViolationPortMonitor(_SubMonitor):
-    name = "violation-port"
-
-    def check(self, step, layout):
-        for access in step.accesses:
-            if access.kind is not AccessKind.WRITE or access.addr != VIOLATION_PORT:
-                continue
-            if layout.in_secure_rom(step.pc):
-                reason = SW_REASON_CODES.get(
-                    access.value, ViolationReason.BAD_SELECTOR
-                )
-                return Violation(reason, step.pc, detail="(EILIDsw check failed)")
-            return Violation(ViolationReason.SECURE_PORT, step.pc, access.addr)
-        return None
-
-
-class IllegalInstructionMonitor(_SubMonitor):
-    name = "illegal-insn"
-
-    def check(self, step, layout):
-        if step.kind is StepKind.ILLEGAL:
-            return Violation(
-                ViolationReason.ILLEGAL_INSN,
-                step.pc,
-                detail=f"word=0x{step.illegal_word:04x}",
-            )
-        return None
+_FETCH = AccessKind.FETCH
+_WRITE = AccessKind.WRITE
+_INTERRUPT = StepKind.INTERRUPT
+_ILLEGAL = StepKind.ILLEGAL
 
 
 class HardwareMonitor:
-    """Composition of the armed sub-monitors."""
+    """The armed checks of *policy*, evaluated once per CPU step."""
 
     def __init__(self, layout, policy: Optional[MonitorPolicy] = None,
                  rom_config: Optional[RomConfig] = None):
         self.layout = layout
-        self.policy = policy or MonitorPolicy.casu()
-        self.rom_config = rom_config or RomConfig()
-        self.subs: List[_SubMonitor] = []
-        self._pmem_guard = None
-        if self.policy.w_xor_x:
-            self.subs.append(WxorXMonitor())
-        if self.policy.pmem_guard:
-            self._pmem_guard = PmemGuardMonitor()
-            self.subs.append(self._pmem_guard)
-        if self.policy.secure_ram_guard:
-            self.subs.append(SecureRamGuardMonitor())
-        if self.policy.rom_atomicity:
-            self.subs.append(RomAtomicityMonitor(self.rom_config))
-        if self.policy.violation_port:
-            self.subs.append(ViolationPortMonitor())
-        if self.policy.illegal_insn:
-            self.subs.append(IllegalInstructionMonitor())
+        self.policy = policy = policy or MonitorPolicy.casu()
+        self.rom_config = rom_config = rom_config or RomConfig()
+        self.update_session_open = False
+        self._flags = layout._flags
+        self._w_xor_x = policy.w_xor_x
+        self._rom_atomicity = policy.rom_atomicity
+        self._illegal_insn = policy.illegal_insn
+        # A disarmed guard watches no address bit (or, for the port, no
+        # address at all).
+        self._pmem_bit = _F_PMEM if policy.pmem_guard else 0
+        self._sdmem_bit = _F_SDMEM if policy.secure_ram_guard else 0
+        self._port = VIOLATION_PORT if policy.violation_port else -1
+        self._entries = frozenset(rom_config.entry_points)
+        self._exits = frozenset(addr for start, end in rom_config.exit_ranges
+                                for addr in range(start, end + 1))
 
     def observe(self, step) -> Optional[Violation]:
-        """Check one CPU step; first violation wins (hardware OR)."""
-        for sub in self.subs:
-            violation = sub.check(step, self.layout)
-            if violation is not None:
-                return violation
+        """Check one CPU step; see the module docstring for the order."""
+        flags = self._flags
+        pc = step.pc
+        in_rom = flags[pc] & _F_SROM
+        # Address bits a data access from this PC must not touch.
+        read_watch = 0 if in_rom else self._sdmem_bit
+        write_watch = read_watch
+        if not (in_rom and self.update_session_open):
+            write_watch |= self._pmem_bit
+        port = self._port
+        w_xor_x = self._w_xor_x
+        pmem_addr = sram_addr = port_value = None
+        for access in step.accesses:
+            kind = access.kind
+            addr = access.addr
+            if kind is _FETCH:
+                if w_xor_x and not flags[addr] & _F_EXEC:
+                    return Violation(ViolationReason.W_XOR_X, pc, addr)
+            elif kind is _WRITE:
+                bits = flags[addr] & write_watch
+                if bits or addr == port:
+                    if bits & _F_PMEM and pmem_addr is None:
+                        pmem_addr = addr
+                    if bits & _F_SDMEM and sram_addr is None:
+                        sram_addr = addr
+                    if addr == port and port_value is None:
+                        port_value = access.value
+            elif flags[addr] & read_watch and sram_addr is None:
+                sram_addr = addr
+        if pmem_addr is not None:
+            return Violation(ViolationReason.PMEM_WRITE, pc, pmem_addr)
+        if sram_addr is not None:
+            return Violation(ViolationReason.SECURE_RAM_ACCESS, pc, sram_addr)
+        if self._rom_atomicity:
+            next_pc = step.next_pc
+            if in_rom:
+                if step.kind is _INTERRUPT:
+                    return Violation(ViolationReason.IRQ_IN_ROM, pc)
+                if not flags[next_pc] & _F_SROM and pc not in self._exits:
+                    return Violation(ViolationReason.ROM_EXIT, pc, next_pc)
+            elif flags[next_pc] & _F_SROM and next_pc not in self._entries:
+                return Violation(ViolationReason.ROM_ENTRY, pc, next_pc)
+        if port_value is not None:
+            if in_rom:
+                reason = SW_REASON_CODES.get(port_value,
+                                             ViolationReason.BAD_SELECTOR)
+                return Violation(reason, pc, detail="(EILIDsw check failed)")
+            return Violation(ViolationReason.SECURE_PORT, pc, port)
+        if step.kind is _ILLEGAL and self._illegal_insn:
+            return Violation(ViolationReason.ILLEGAL_INSN, pc,
+                             detail=f"word=0x{step.illegal_word:04x}")
         return None
 
     def reset(self):
-        for sub in self.subs:
-            sub.reset()
+        """Return to the power-on state (called after a device reset)."""
+        self.update_session_open = False
 
     # ---- update session control (driven by the update engine) -----------
 
     def open_update_session(self):
-        if self._pmem_guard is None:
+        if not self._pmem_bit:
             raise RuntimeError("monitor has no PMEM guard to unlock")
-        self._pmem_guard.update_session_open = True
+        self.update_session_open = True
 
     def close_update_session(self):
-        if self._pmem_guard is not None:
-            self._pmem_guard.update_session_open = False
-
-    @property
-    def update_session_open(self):
-        return self._pmem_guard is not None and self._pmem_guard.update_session_open
+        self.update_session_open = False
 
     # ---- snapshot/restore (see repro.snapshot) -----------------------
 
@@ -270,6 +218,5 @@ class HardwareMonitor:
         return {"update_session_open": self.update_session_open}
 
     def restore_state(self, state):
-        if self._pmem_guard is not None:
-            self._pmem_guard.update_session_open = bool(
-                state["update_session_open"])
+        if self._pmem_bit:
+            self.update_session_open = bool(state["update_session_open"])

@@ -29,7 +29,10 @@ The invalidation contract, shared with :class:`repro.memory.bus.Bus`:
   fetch sequence would append, and the invalidation rule guarantees the
   underlying words have not changed).
 
-Interrupt acceptance and ILLEGAL/fault steps are never cached.  Passing
+Interrupt acceptance and ILLEGAL/fault steps are never cached.  An
+encoding the core cannot run (a read-modify-write single-operand
+instruction on an immediate or constant operand) is an ILLEGAL step,
+taken before any register or memory side effect.  Passing
 ``decode_cache=False`` (or flipping :data:`DECODE_CACHE_DEFAULT`)
 disables the cache; the differential tests in
 ``tests/test_decode_cache.py`` assert both paths produce identical
@@ -60,6 +63,14 @@ from repro.memory.map import RESET_VECTOR
 # Process-wide default for new CPUs; tests flip this to run whole
 # subsystems (attacks, apps) through the uncached path differentially.
 DECODE_CACHE_DEFAULT = True
+
+# Single-operand read-modify-write opcodes write their operand back, so
+# an immediate or constant-generator operand leaves them nothing to run:
+# SLAU049 gives no cycle count for the form and there is no effective
+# address to store to.  The decoder accepts such words (it is total over
+# the encoder); the core executes them as ILLEGAL steps.
+_RMW_SINGLE = frozenset(("rra", "rrc", "swpb", "sxt"))
+_NO_ADDRESS = (AddrMode.IMMEDIATE, AddrMode.CONSTANT)
 
 
 class StepKind(enum.Enum):
@@ -240,7 +251,7 @@ class Cpu:
             bus.trace = []
 
         ic = self.ic
-        if (ic is not None and regs[SR] & FLAG_GIE and ic.any_pending
+        if (ic is not None and regs[SR] & FLAG_GIE and ic.pending
                 and not self.irq_deferred_at(pc_before)):
             return self._service_interrupt(pc_before)
 
@@ -269,6 +280,11 @@ class Cpu:
                 # The fetch ran off the top of the address space (e.g.
                 # the extension word of a two-word instruction at
                 # 0xFFFE): a fault step, not a simulator crash.
+                return self._illegal_step(pc_before, first_word)
+            if insn.mnemonic in _RMW_SINGLE and insn.dst.mode in _NO_ADDRESS:
+                # Decodable, but the core cannot run it (see
+                # _RMW_SINGLE): illegal before any side effect, and
+                # never cached.
                 return self._illegal_step(pc_before, first_word)
             next_pc = self._fetch_addr & 0xFFFE
             executor = self._executors[insn.opcode.mnemonic]

@@ -147,25 +147,12 @@ class Device:
         # Hot-loop plumbing, precomputed once: peripherals that override
         # tick() advance per step; the rest only need ``now`` kept in
         # sync (base tick just accumulates cycles, and device.cycle and
-        # peripheral.now advance in lockstep by construction).  The flat
-        # list of log-list references replaces per-step snapshot dicts.
+        # peripheral.now advance in lockstep by construction).
         base_tick = Peripheral.tick
         self._ticking = tuple(p for p in self.peripherals.values()
                               if type(p).tick is not base_tick)
         self._passive = tuple(p for p in self.peripherals.values()
                               if type(p).tick is base_tick)
-        # Peripherals that override the snapshot/rollback API carry
-        # extra voidable state (e.g. the harness DONE latch) and keep
-        # going through their own methods; everything else rolls back
-        # via plain list truncation.
-        self._custom_rollback = tuple(
-            p for p in self.peripherals.values()
-            if type(p).snapshot_logs is not Peripheral.snapshot_logs
-            or type(p).rollback_logs is not Peripheral.rollback_logs)
-        self._rollback_lists = tuple(
-            log for p in self.peripherals.values()
-            if p not in self._custom_rollback
-            for log in [p.events] + [getattr(p, a) for a in p._log_attrs])
         self._harness = self.peripherals["harness"]
 
         self.monitor: Optional[HardwareMonitor] = None
@@ -370,8 +357,8 @@ class Device:
         cpu = self.cpu
         if monitor is not None:
             regs_before = cpu.regs.copy()
-            log_marks = [len(log) for log in self._rollback_lists]
-            custom_marks = [p.snapshot_logs() for p in self._custom_rollback]
+            harness = self._harness
+            done_before = harness.done, harness.done_value
         record = cpu.step()
         cycles = record.cycles
         self.cycle += cycles
@@ -392,13 +379,15 @@ class Device:
         if violation is not None:
             # Hardware semantics: the violating cycle never commits --
             # memory writes, register changes and peripheral effects of
-            # this step are all voided before the reset.
+            # this step are all voided before the reset.  A peripheral
+            # stamps log entries with its clock, which this step moved
+            # on by ``cycles``, so the step's entries are the ones
+            # stamped at or after the clock's value at the step start.
             self.bus.rollback_writes(record.accesses)
             cpu.regs = regs_before
-            for log, mark in zip(self._rollback_lists, log_marks):
-                del log[mark:]
-            for peripheral, mark in zip(self._custom_rollback, custom_marks):
-                peripheral.rollback_logs(mark)
+            for peripheral in self.peripherals.values():
+                peripheral.drop_since(peripheral.now - cycles)
+            harness.done, harness.done_value = done_before
             self.violation_count += 1
             reason = violation.reason.value
             self.violation_totals[reason] = self.violation_totals.get(reason, 0) + 1

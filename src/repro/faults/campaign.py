@@ -17,8 +17,8 @@ Per profile (none/casu/eilid), a :class:`FaultCampaign`:
 All profiles sweep the **same original-variant image**, so the eilid
 monitor set being a strict superset of casu's makes the detection
 ordering eilid >= casu >= none deterministic, per fault: execution is
-bit-identical until the first violation, and any sub-monitor casu
-trips is also armed under eilid.
+bit-identical until the first violation, and any check casu arms is
+also armed under eilid.
 
 The shard context is pure JSON (firmware spec, snapshot wire dict,
 golden outputs, budget) and stamps the shared codec version, so a

@@ -46,32 +46,32 @@ class Peripheral:
         observation channel, not device state.
         """
 
-    # Additional list-valued log attributes (subclasses extend); all are
-    # rolled back when a monitor violation voids the in-flight step.
+    # Additional list-valued log attributes (subclasses extend).  Each
+    # entry is a tuple whose first item is the ``now`` it was logged at.
     _log_attrs = ()
 
-    def snapshot_logs(self):
-        """Capture log positions before a CPU step (for violation rollback)."""
-        state = {"events": len(self.events)}
-        for attr in self._log_attrs:
-            state[attr] = len(getattr(self, attr))
-        return state
+    def drop_since(self, cycle):
+        """Drop the log entries stamped at or after *cycle*.
 
-    def rollback_logs(self, state):
-        """Drop log entries appended by a voided (violating) step."""
-        del self.events[state["events"]:]
+        A monitor violation voids the step that started at *cycle*; its
+        entries are the newest ones, so they are popped off the end.
+        """
+        events = self.events
+        while events and events[-1].cycle >= cycle:
+            events.pop()
         for attr in self._log_attrs:
-            del getattr(self, attr)[state[attr]:]
+            log = getattr(self, attr)
+            while log and log[-1][0] >= cycle:
+                log.pop()
 
     # ---- full-state snapshot/restore (see repro.snapshot) ------------------
     #
-    # Distinct from snapshot_logs/rollback_logs above: those mark log
-    # *positions* for single-step violation rollback; these capture the
-    # peripheral's complete mutable state as JSON types so a restored
-    # device resumes mid-transaction (latched reads, pending ticks, the
-    # DONE latch) without replaying or dropping events.  Construction-time
-    # configuration -- stimulus schedules, callables -- is NOT state: the
-    # restore target is built with the same configuration.
+    # These capture the peripheral's complete mutable state as JSON types
+    # so a restored device resumes mid-transaction (latched reads,
+    # pending ticks, the DONE latch) without replaying or dropping
+    # events.  Construction-time configuration -- stimulus schedules,
+    # callables -- is NOT state: the restore target is built with the
+    # same configuration.
 
     def snapshot_state(self):
         state = {

@@ -38,15 +38,6 @@ class HarnessPorts(Peripheral):
         self.violation_writes.append((self.now, value & 0xFFFF))
         self.emit("harness.violation", value)
 
-    def snapshot_logs(self):
-        state = super().snapshot_logs()
-        state["done"] = (self.done, self.done_value)
-        return state
-
-    def rollback_logs(self, state):
-        super().rollback_logs(state)
-        self.done, self.done_value = state["done"]
-
     def reset(self):
         # done latches across reset so the harness can observe that the
         # workload finished before a late violation, if any.

@@ -4,7 +4,9 @@ Each function returns an :class:`Fsm` abstracting one hardware
 sub-monitor over boolean signals, together with the safety properties
 the CASU/VRASED decomposition attaches to it.  ``MONITOR_PROPERTIES``
 bundles (fsm, property list) pairs for the test suite and the
-``eilid verify`` CLI command.
+``eilid verify`` CLI command.  :meth:`repro.casu.HardwareMonitor.observe`
+evaluates all four machines in one check; ``tests/test_monitor.py``
+holds it to each FSM over the FSM's full input space.
 
 The VIOL state models the latched reset line: once entered it is
 absorbing (the device resets; the monitor restarts with the MCU).

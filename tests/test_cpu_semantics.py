@@ -387,6 +387,115 @@ class TestAlignmentAndFaults:
         assert all(r.kind.value == "illegal" for r in records)
 
 
+class TestUnrunnableEncodings:
+    """Decodable words the core cannot run are ILLEGAL steps.
+
+    A read-modify-write single-operand instruction (rra, rrc, swpb, sxt)
+    on an immediate or constant-generator operand has no cycle count and
+    nothing to write back; such words used to escape ``Cpu.step`` with
+    IsaError or DecodingError.  Fault injection flips code bits into
+    them.
+    """
+
+    # rrc #0x1234 (As=11 on PC, one extension word) and rrc r3 (As=00
+    # on CG2: the constant 0).
+    RRC_IMMEDIATE = (0x1030, 0x1234)
+    RRC_CONSTANT = (0x1003,)
+
+    def _cpu(self, words, decode_cache):
+        bus = Bus()
+        for index, word in enumerate(words):
+            bus.poke_word(0xE000 + 2 * index, word)
+        cpu = Cpu(bus, InterruptController(), decode_cache=decode_cache)
+        cpu.regs = [0x0300 + index for index in range(16)]
+        cpu.set_reg(0, 0xE000)
+        return cpu, bus
+
+    @pytest.mark.parametrize("decode_cache", [False, True])
+    @pytest.mark.parametrize("words", [RRC_IMMEDIATE, RRC_CONSTANT],
+                             ids=["immediate", "constant"])
+    def test_is_illegal_before_any_side_effect(self, words, decode_cache):
+        cpu, bus = self._cpu(words, decode_cache)
+        regs, memory = list(cpu.regs), bytes(bus.mem)
+        for _ in range(2):  # a second try must not hit a cache entry
+            record = cpu.step()
+            assert record.kind.value == "illegal"
+            assert record.illegal_word == words[0]
+            assert record.next_pc == 0xE000 and record.cycles == 1
+            assert all(a.kind.value == "fetch" for a in record.accesses)
+            assert cpu.regs == regs and bytes(bus.mem) == memory
+        assert not cpu._dcache
+
+    def test_the_core_is_total_over_first_words(self):
+        """Every first word steps to a record; none raises."""
+        cpu, bus = self._cpu((), decode_cache=False)
+        kinds = {"instruction": 0, "illegal": 0}
+        for word in range(0x10000):
+            bus.load_bytes(0xE000, bytes((word & 0xFF, word >> 8, 0, 3, 0, 3)))
+            cpu.regs = [0x0300] * 16
+            cpu.regs[0], cpu.regs[2] = 0xE000, 0
+            kinds[cpu.step().kind.value] += 1
+        # 42 rra/rrc/swpb/sxt immediate/constant words join the
+        # illegal share; everything else runs as before.
+        assert kinds == {"instruction": 58006, "illegal": 7530}
+
+
+LINES = st.integers(min_value=0, max_value=14)
+IRQ_OPS = st.lists(st.one_of(
+    st.tuples(st.just("request"), LINES),
+    st.tuples(st.just("clear"), st.integers(min_value=0, max_value=15)),
+    st.tuples(st.just("accept")),
+    st.tuples(st.just("clear_all")),
+    st.tuples(st.just("round_trip")),
+), max_size=60)
+
+
+@given(ops=IRQ_OPS)
+def test_irq_bitmask_matches_line_scan_reference(ops):
+    """The pending bitmask against a 15-line scan, op by op."""
+    import json
+
+    ic = InterruptController()
+    lines = [False] * 16
+
+    def scan():
+        for index in range(14, -1, -1):
+            if lines[index]:
+                return index
+        return None
+
+    for op, *args in ops:
+        if op == "request":
+            ic.request(args[0])
+            lines[args[0]] = True
+        elif op == "clear":
+            ic.clear(args[0])
+            lines[args[0]] = False
+        elif op == "accept":
+            expected = scan()
+            assert ic.accept() == expected
+            if expected is not None:
+                lines[expected] = False
+        elif op == "clear_all":
+            ic.clear_all()
+            lines = [False] * 16
+        else:
+            fresh = InterruptController()
+            fresh.restore_state(json.loads(json.dumps(ic.snapshot_state())))
+            ic = fresh
+        assert ic.any_pending == (scan() is not None)
+        assert bool(ic.pending) == ic.any_pending
+        assert ic.pending_index() == scan()
+        assert ic.snapshot_state() == {"pending": lines}
+
+
+def test_irq_snapshot_rejects_a_pending_reset_line():
+    from repro.errors import MemoryAccessError
+
+    with pytest.raises(MemoryAccessError, match="reset line"):
+        InterruptController().restore_state({"pending": [False] * 15 + [True]})
+
+
 # ---- differential property tests against a Python reference -----------------
 
 @given(a=WORD, b=WORD)

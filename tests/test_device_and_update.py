@@ -1,10 +1,12 @@
 """Device composition: reset semantics, rollback, CASU secure update."""
 
+import pytest
 
 from repro.casu.monitor import ViolationReason
 from repro.casu.update import UpdateKey, UpdatePackage, UpdateStatus
 from repro.device import build_device
 from repro.eilid.iterbuild import IterativeBuild
+from repro.peripherals import ports
 from repro.toolchain.build import SourceModule
 
 
@@ -86,6 +88,68 @@ class TestDeviceBasics:
         assert device.harness.done_value is None
         assert device.harness.event_values("harness.done") == []
         assert device.reset_count == 1
+
+    # Every voidable peripheral log: (port, peripheral, event port, the
+    # peripheral's own log attribute or None).
+    VOIDABLE = [
+        (ports.UART_TX, "uart", "uart.tx", "tx_log"),
+        (ports.LCD_DATA, "lcd", "lcd.data", "data_log"),
+        (ports.LCD_CMD, "lcd", "lcd.cmd", "command_log"),
+        (ports.VIOLATION_PORT, "harness", "harness.violation", "violation_writes"),
+        (ports.DONE_PORT, "harness", "harness.done", None),
+    ]
+
+    @staticmethod
+    def _mov_to(port, value):
+        return (0x40B2, value, port)  # mov #value, &port
+
+    @pytest.mark.parametrize("port,name,event,log_attr", VOIDABLE,
+                             ids=[entry[2] for entry in VOIDABLE])
+    def test_voided_step_leaves_no_log_entry_and_no_latch(self, port, name, event,
+                                                          log_attr):
+        """A step voided by W-xor-X (it ran from DMEM) drops what its
+        port write logged, while entries of committed steps -- even one
+        committed by the step right before -- stay."""
+        device = build_device(raw_program(GOOD_APP), security="casu")
+        peripheral = device.peripherals[name]
+        shellcode, pmem_code = device.layout.dmem.start + 0x40, 0xF000
+        for index, word in enumerate(self._mov_to(port, 0xAA)):
+            device.bus.poke_word(shellcode + 2 * index, word)
+        for index, word in enumerate(self._mov_to(port, 0x11)):
+            device.bus.poke_word(pmem_code + 2 * index, word)
+
+        def logged():
+            entries = [peripheral.event_values(event)]
+            if log_attr is not None:
+                entries.append([entry[1:] for entry in getattr(peripheral, log_attr)])
+            return entries, (device.harness.done, device.harness.done_value)
+
+        empty = logged()
+        device.cpu.set_reg(0, shellcode)
+        _record, violation = device.step()
+        assert violation.reason is ViolationReason.W_XOR_X
+        assert logged() == empty
+        assert device.harness.done is False
+
+        device.cpu.set_reg(0, pmem_code)
+        assert device.step()[1] is None
+        committed = logged()
+        assert committed != empty
+        device.cpu.set_reg(0, shellcode)
+        assert device.step()[1].reason is ViolationReason.W_XOR_X
+        assert logged() == committed
+        assert device.reset_count == 2
+
+    def test_untrusted_violation_port_write_is_voided(self):
+        # Under EILID the write itself is the violation.
+        device = build_device(raw_program(GOOD_APP), security="eilid")
+        for index, word in enumerate(self._mov_to(ports.VIOLATION_PORT, 1)):
+            device.bus.poke_word(0xF000 + 2 * index, word)
+        device.cpu.set_reg(0, 0xF000)
+        _record, violation = device.step()
+        assert violation.reason is ViolationReason.SECURE_PORT
+        assert device.harness.violation_writes == []
+        assert device.harness.events == []
 
     def test_reset_restarts_at_reset_vector(self):
         app = GOOD_APP.replace("mov #42, &0x0200", "mov #0xdead, &0xe200")

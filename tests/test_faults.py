@@ -245,6 +245,32 @@ def test_session_fault_sweep(light_sensor_sites):
     assert [t.profile for t in report.tallies] == list(FAULT_PROFILES)
 
 
+@pytest.mark.parametrize("seed", [24, 33, 58])
+def test_unrunnable_flipped_code_is_graded_not_raised(seed):
+    """Regression: these plans flip light_sensor code into rra/rrc/swpb/
+    sxt words on an immediate or constant operand, which used to abort
+    the whole sweep with IsaError or DecodingError.  They are ILLEGAL
+    steps now: monitored profiles detect them, the sweep grades all."""
+    spec = ScenarioSpec(name="sweep",
+                        firmware=FirmwareSpec(kind="app", app=APP,
+                                              variant="original"))
+    report = Session(spec).fault_sweep(
+        FaultSpec(seed=seed, count=8, profiles=FAULT_PROFILES))
+    assert [t.total for t in report.tallies] == [8] * len(FAULT_PROFILES)
+    for tally in report.tallies:
+        assert (tally.detected + tally.escape + tally.crash + tally.silent
+                == tally.total)
+    for profile in ("casu", "eilid"):
+        reasons = {doc["reason"] for doc in report.outcomes[profile]}
+        assert "illegal-instruction" in reasons
+    by_profile = {profile: {doc["id"]: doc["outcome"] == "detected"
+                            for doc in report.outcomes[profile]}
+                  for profile in FAULT_PROFILES}
+    for fault_id in by_profile["none"]:
+        order = [by_profile[profile][fault_id] for profile in FAULT_PROFILES]
+        assert order == sorted(order), (fault_id, order)
+
+
 def test_session_fault_sweep_validates_the_plan():
     spec = ScenarioSpec(name="sweep",
                         firmware=FirmwareSpec(kind="app", app=APP,

@@ -11,7 +11,6 @@ from repro.verification import (
 )
 from repro.verification.properties import (
     check_all,
-    pmem_guard_fsm,
     pmem_guard_fsm_buggy,
     rom_atomicity_fsm,
     PMEM_GUARD_PROPERTIES,
@@ -124,32 +123,6 @@ class TestMonitorProperties:
             {"next_in_rom": True, "at_entry": False, "in_exit": False, "irq": False},
         ]
         assert fsm.run(attack)[-1] == "VIOL"
-
-    def test_fsm_mirrors_concrete_monitor(self):
-        """Abstract FSM and concrete sub-monitor agree on a scenario."""
-        from repro.casu.monitor import PmemGuardMonitor
-        from repro.cpu.core import StepKind, StepRecord
-        from repro.memory.bus import Access, AccessKind
-        from repro.memory.map import MemoryLayout
-
-        layout = MemoryLayout.default()
-        concrete = PmemGuardMonitor()
-        abstract = pmem_guard_fsm()
-
-        for pc, update_open in [(0xE010, False), (layout.secure_rom.start, False),
-                                (layout.secure_rom.start, True), (0xE010, True)]:
-            concrete.update_session_open = update_open
-            record = StepRecord(
-                kind=StepKind.INSTRUCTION, pc=pc, next_pc=pc + 2, cycles=1,
-                accesses=[Access(AccessKind.WRITE, 0xE100, 1, 2, pc, prev=0)],
-            )
-            concrete_violates = concrete.check(record, layout) is not None
-            abstract_next = abstract.step("OK", {
-                "pmem_write": True,
-                "pc_in_rom": layout.in_secure_rom(pc),
-                "update_open": update_open,
-            })
-            assert concrete_violates == (abstract_next == "VIOL"), (pc, update_open)
 
 
 class TestOracles:
