@@ -15,8 +15,8 @@ below, 2-vCPU x86-64 container, CPython 3.11.  Both are
 ``Cpu.step`` loop:
 
 * unmonitored device (``security="none"``, reported as
-  ``raw_instr_per_sec``): ~150k instr/s;
-* monitored device (``security="casu"``): ~137k instr/s.
+  ``raw_instr_per_sec``): ~225k instr/s;
+* monitored device (``security="casu"``): ~175k instr/s.
 """
 
 import gc
@@ -28,7 +28,7 @@ from repro.obs.metrics import METRICS
 from repro.toolchain import link, parse_source
 
 # Absolute floors, below the reference numbers in the module docstring
-# (~150k unmonitored / ~137k monitored Device) so CI noise cannot trip
+# (~225k unmonitored / ~175k monitored Device) so CI noise cannot trip
 # them.
 RAW_FLOOR_IPS = 120_000
 MONITORED_FLOOR_IPS = 40_000

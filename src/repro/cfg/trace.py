@@ -1,7 +1,7 @@
 """Branch-trace recording: the device-side half of trace attestation.
 
-A :class:`BranchTraceRecorder` observes every :class:`StepRecord` the
-CPU produces and keeps the *taken* control-flow edges -- calls, taken
+A :class:`BranchTraceRecorder` observes the step records the CPU
+produces and keeps the *taken* control-flow edges -- calls, taken
 jumps/branches, returns, interrupt entries and interrupt returns -- in
 a bounded ring buffer.  Straight-line execution and not-taken
 conditional jumps produce no edge, so the buffer holds exactly the
@@ -164,8 +164,14 @@ def capture_trace(device, steps, max_cycles=None,
 class BranchTraceRecorder:
     """Bounded ring of taken control-flow edges with a rolling digest.
 
-    Installed as ``Cpu.trace_sink``; :meth:`observe` is on the per-step
-    hot path, so the no-edge case returns after one size computation.
+    Installed as ``Cpu.trace_sink``.  The CPU calls :meth:`observe` for
+    every interrupt entry, every decode-cache miss (and so every step
+    with the cache disabled), and every cache hit whose instruction can
+    leave its fall-through PC: a jump, ``call``, ``reti`` or a
+    register-PC destination (the entry's static edge class, see
+    :mod:`repro.cpu.core`).  Every step it skips is one
+    :func:`classify_step` maps to ``None``, so the recorded trace is the
+    same as observing every step.
     """
 
     def __init__(self, capacity: int = 4096):

@@ -13,9 +13,31 @@ are documented inline.
 Decoded-instruction cache
 -------------------------
 
-The hot path keeps a cache ``{pc: (insn, next_pc, cycles, fetch
-accesses, executor)}`` so straight-line re-execution never re-decodes.
-The invalidation contract, shared with :class:`repro.memory.bus.Bus`:
+The hot path keeps a cache ``{pc: (insn, next_pc, cycles, fetches, run,
+edge)}`` so re-execution never re-decodes:
+
+* ``fetches`` is the tuple of FETCH accesses the instruction's words
+  produce;
+* ``run`` is a zero-argument closure compiled when the entry is filled.
+  Operand modes, register numbers, offsets, constants, byte/word masks
+  and the PC alignment rule are resolved then, and the bus methods it
+  calls are bound then.  The forms that dominate the Table IV mix get a
+  specialised closure (jumps; ``push`` of a register, constant or
+  memory operand; ``mov`` constant/register/``@Rn+`` to a register and
+  register to memory; ``add``/``addc``/``sub``/``subc``/``cmp`` of a
+  register or constant into a register).  Every other form runs its
+  generic ``_ex_*`` executor bound to the instruction.  A closure reads
+  ``cpu.regs`` on every call and never keeps the list: reset, restore,
+  violation rollback and tests rebind it;
+* ``edge`` is the static edge class: whether a step of the instruction
+  can be a branch-trace edge (see ``_edge_class``).  A hit calls the
+  trace sink only when it is set; interrupt entries and misses always
+  call it, and :func:`repro.cfg.trace.classify_step` stays the one
+  classification rule.
+
+The generic executors are the reference: a miss runs them, and so does
+every step with the cache disabled.  The invalidation contract, shared
+with :class:`repro.memory.bus.Bus`:
 
 * filling an entry registers every word address the instruction's
   encoding occupies with the bus (:meth:`Bus.note_code_cached`);
@@ -36,15 +58,18 @@ taken before any register or memory side effect.  Passing
 ``decode_cache=False`` (or flipping :data:`DECODE_CACHE_DEFAULT`)
 disables the cache; the differential tests in
 ``tests/test_decode_cache.py`` assert both paths produce identical
-StepRecords, cycle totals and monitor verdicts.
+StepRecords, registers, memory, cycle totals, monitor verdicts and
+branch traces -- over the Table IV apps, the attacks, a table of every
+specialised form and random instruction streams.
 """
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.errors import DecodingError, MemoryAccessError
-from repro.isa import decode, instruction_cycles, INTERRUPT_CYCLES
+from repro.isa import Format, decode, instruction_cycles, INTERRUPT_CYCLES
 from repro.isa.operands import AddrMode
 from repro.isa.registers import (
     FLAG_C,
@@ -71,6 +96,45 @@ DECODE_CACHE_DEFAULT = True
 # the encoder); the core executes them as ILLEGAL steps.
 _RMW_SINGLE = frozenset(("rra", "rrc", "swpb", "sxt"))
 _NO_ADDRESS = (AddrMode.IMMEDIATE, AddrMode.CONSTANT)
+_MEMORY_DST = (AddrMode.INDEXED, AddrMode.SYMBOLIC, AddrMode.ABSOLUTE)
+
+# Compiled arithmetic: mnemonic -> (source inverted, carry in -- None
+# for the C flag --, result written back).
+_ARITH = {
+    "add": (False, 0, True),
+    "addc": (False, None, True),
+    "sub": (True, 1, True),
+    "subc": (True, None, True),
+    "cmp": (True, 1, False),
+}
+# SR with C, Z, N and V cleared.
+_SR_KEEP = 0xFFFF & ~(FLAG_C | FLAG_Z | FLAG_N | FLAG_V)
+# Conditional jumps: mnemonic -> (SR bit tested, its value when taken).
+# jl/jge test N xor V instead (see Cpu._compile_jump).
+_JUMP_BITS = {
+    "jz": (FLAG_Z, FLAG_Z),
+    "jnz": (FLAG_Z, 0),
+    "jc": (FLAG_C, FLAG_C),
+    "jnc": (FLAG_C, 0),
+    "jn": (FLAG_N, FLAG_N),
+}
+
+
+def _edge_class(insn, pc, next_pc):
+    """Static edge class: can a step of *insn* at *pc* be a trace edge?
+
+    True for jumps, ``call``, ``reti`` and a register-PC destination.
+    Any other instruction always ends at *next_pc*, its fall-through
+    PC, so :func:`repro.cfg.trace.classify_step` returns ``None`` for
+    it -- unless ``insn.size_bytes`` disagrees with the words fetched,
+    which happens for a long-form immediate holding a
+    constant-generator value (sized as the short form).
+    """
+    if insn.opcode.format is Format.JUMP or insn.mnemonic in ("call", "reti"):
+        return True
+    if insn.dst.mode is AddrMode.REGISTER and insn.dst.reg == PC:
+        return True
+    return next_pc != (pc + insn.size_bytes) & 0xFFFF
 
 
 class StepKind(enum.Enum):
@@ -116,9 +180,10 @@ class Cpu:
         # the secure ROM to preserve atomicity).  Installed by the device.
         self.irq_deferred_at = lambda pc: False
         # Branch-trace tap: an object with .observe(StepRecord), called
-        # for every architectural event (the EILID trace-attestation
-        # recorder).  Installed by the device; None keeps the hot path
-        # free of the extra call.
+        # for every step that can be a control-flow edge (the EILID
+        # trace-attestation recorder; see the module docstring).
+        # Installed by the device; None keeps the hot path free of the
+        # extra call.
         self.trace_sink = None
         # Extension-word fetch cursor; the bound method is hoisted so the
         # step loop never allocates a closure.
@@ -258,14 +323,15 @@ class Cpu:
         cache = self._dcache
         entry = cache.get(pc_before) if cache is not None else None
         if entry is not None:
-            insn, next_pc, cycles, accesses, executor = entry
+            insn, next_pc, cycles, accesses, run, edge = entry
             if bus.recording:
                 # Replay the monitor-visible FETCH stream; invalidation
                 # guarantees the cached words still match memory.
                 bus.trace.extend(accesses)
             regs[PC] = next_pc
-            executor(insn)
+            run()
         else:
+            edge = True  # misses are classified by the trace sink
             first_word = None
             try:
                 first_word = bus.fetch_word(pc_before)
@@ -296,22 +362,20 @@ class Cpu:
                     Access(AccessKind.FETCH, a, mem[a] | (mem[a + 1] << 8),
                            2, pc_before)
                     for a in range(pc_before, pc_before + 2 * size_words, 2))
-                cache[pc_before] = (insn, next_pc, cycles, accesses, executor)
+                cache[pc_before] = (insn, next_pc, cycles, accesses,
+                                    self._compile(insn, next_pc),
+                                    _edge_class(insn, pc_before, next_pc))
                 bus.note_code_cached(pc_before, size_words)
             regs[PC] = next_pc
             executor(insn)
 
         self.total_cycles += cycles
         self.instruction_count += 1
-        record = StepRecord(
-            kind=StepKind.INSTRUCTION,
-            pc=pc_before,
-            next_pc=regs[PC],
-            cycles=cycles,
-            accesses=bus.drain_trace(),
-            insn=insn,
-        )
-        if self.trace_sink is not None:
+        # Positional: keyword arguments cost a measurable share of a
+        # step here.
+        record = StepRecord(StepKind.INSTRUCTION, pc_before, regs[PC], cycles,
+                            bus.drain_trace(), insn)
+        if edge and self.trace_sink is not None:
             self.trace_sink.observe(record)
         return record
 
@@ -354,6 +418,182 @@ class Cpu:
         word = self.bus.fetch_word(addr)
         self._fetch_addr = addr + 2
         return word
+
+    # ---- compiled steps (decode-cache hits) ---------------------------------
+    #
+    # Each builder returns a zero-argument closure equivalent to the
+    # generic executor on this one instruction, or None when the form
+    # has no specialisation.  Everything that depends only on the
+    # instruction is resolved here; the register file is re-read from
+    # ``cpu.regs`` on every call, because reset, restore and violation
+    # rollback rebind that list.  A run starts with PC at the
+    # instruction's fall-through address (the hit path sets it).
+
+    def _compile(self, insn, next_pc):
+        """The run closure a cache entry stores for *insn*."""
+        name = insn.mnemonic
+        if insn.opcode.format is Format.JUMP:
+            run = self._compile_jump(name, (next_pc + 2 * insn.offset) & 0xFFFE)
+        elif name == "push":
+            run = self._compile_push(insn.dst, insn.byte_mode)
+        elif name == "mov":
+            run = self._compile_mov(insn.src, insn.dst, insn.byte_mode)
+        elif name in _ARITH and insn.dst.mode is AddrMode.REGISTER:
+            run = self._compile_arith(name, insn.src, insn.dst.reg,
+                                      insn.byte_mode)
+        else:
+            run = None
+        return run or partial(self._executors[name], insn)
+
+    def _compile_jump(self, name, target):
+        cpu = self
+        if name == "jmp":
+            def run():
+                cpu.regs[PC] = target
+        elif name in _JUMP_BITS:
+            bit, taken = _JUMP_BITS[name]
+
+            def run():
+                regs = cpu.regs
+                if (regs[SR] & bit) == taken:
+                    regs[PC] = target
+        else:
+            # jl is taken when N != V, jge when N == V (N is SR bit 2,
+            # V is SR bit 8).
+            taken = 1 if name == "jl" else 0
+
+            def run():
+                regs = cpu.regs
+                sr = regs[SR]
+                if (((sr >> 2) ^ (sr >> 8)) & 1) == taken:
+                    regs[PC] = target
+        return run
+
+    def _compile_push(self, operand, byte):
+        cpu = self
+        bus = self.bus
+        write_word = bus.write_word
+        mask = 0xFF if byte else 0xFFFF
+        mode = operand.mode
+        if mode in _NO_ADDRESS:
+            value = operand.value & mask
+
+            def run():
+                regs = cpu.regs
+                sp = regs[SP] = (regs[SP] - 2) & 0xFFFF
+                write_word(sp, value)
+        elif mode is AddrMode.REGISTER:
+            reg = operand.reg
+
+            def run():
+                regs = cpu.regs
+                value = regs[reg] & mask
+                sp = regs[SP] = (regs[SP] - 2) & 0xFFFF
+                write_word(sp, value)
+        elif mode in _MEMORY_DST:
+            load = bus.read_byte if byte else bus.read_word
+            base = operand.reg if mode is AddrMode.INDEXED else None
+            offset = operand.value
+
+            def run():
+                regs = cpu.regs
+                addr = offset if base is None else (regs[base] + offset) & 0xFFFF
+                value = load(addr)
+                sp = regs[SP] = (regs[SP] - 2) & 0xFFFF
+                write_word(sp, value)
+        else:
+            return None
+        return run
+
+    def _compile_mov(self, src, dst, byte):
+        cpu = self
+        bus = self.bus
+        mode = src.mode
+        if dst.mode is AddrMode.REGISTER:
+            reg = dst.reg
+            # Byte results clear the upper byte; PC stays word aligned.
+            keep = (0xFF if byte else 0xFFFF) & (0xFFFE if reg == PC else 0xFFFF)
+            if mode in _NO_ADDRESS:
+                value = src.value & keep
+
+                def run():
+                    cpu.regs[reg] = value
+            elif mode is AddrMode.REGISTER:
+                src_reg = src.reg
+
+                def run():
+                    regs = cpu.regs
+                    regs[reg] = regs[src_reg] & keep
+            elif mode is AddrMode.AUTOINC:
+                src_reg = src.reg
+                load = bus.read_byte if byte else bus.read_word
+                step = 1 if byte and src_reg not in (PC, SP) else 2
+
+                def run():
+                    regs = cpu.regs
+                    addr = regs[src_reg]
+                    value = load(addr)
+                    regs[src_reg] = (addr + step) & 0xFFFF
+                    regs[reg] = value & keep
+            else:
+                return None
+            return run
+        if mode is not AddrMode.REGISTER or dst.mode not in _MEMORY_DST:
+            return None
+        store = bus.write_byte if byte else bus.write_word
+        mask = 0xFF if byte else 0xFFFF
+        src_reg = src.reg
+        base = dst.reg if dst.mode is AddrMode.INDEXED else None
+        offset = dst.value
+
+        def run():
+            regs = cpu.regs
+            addr = offset if base is None else (regs[base] + offset) & 0xFFFF
+            store(addr, regs[src_reg] & mask)
+        return run
+
+    def _compile_arith(self, name, src, reg, byte):
+        invert, carry, commit = _ARITH[name]
+        mask = 0xFF if byte else 0xFFFF
+        msb = 0x80 if byte else 0x8000
+        keep = mask & (0xFFFE if reg == PC else 0xFFFF)
+        if src.mode in _NO_ADDRESS:
+            const = src.value & mask
+            if invert:
+                const = ~const & mask
+            src_reg = None
+        elif src.mode is AddrMode.REGISTER:
+            const = None
+            src_reg = src.reg
+        else:
+            return None
+        cpu = self
+
+        def run():
+            regs = cpu.regs
+            if src_reg is None:
+                operand = const
+            else:
+                operand = regs[src_reg] & mask
+                if invert:
+                    operand = ~operand & mask
+            dst = regs[reg] & mask
+            sr = regs[SR]
+            total = dst + operand + (sr & FLAG_C if carry is None else carry)
+            result = total & mask
+            sr &= _SR_KEEP
+            if total > mask:
+                sr |= FLAG_C
+            if not result:
+                sr |= FLAG_Z
+            elif result & msb:
+                sr |= FLAG_N
+            if ~(operand ^ dst) & (operand ^ result) & msb:
+                sr |= FLAG_V
+            regs[SR] = sr
+            if commit:
+                regs[reg] = result & keep
+        return run
 
     # ---- operand access -----------------------------------------------------
 

@@ -351,6 +351,20 @@ class Device:
 
     # ---- stepping ----------------------------------------------------------------
 
+    def advance_clock(self, cycle):
+        """Move the device clock forward to *cycle*, never backward.
+
+        Every peripheral clock moves with it.  They must agree: a
+        violation voids a step's log entries by the peripheral's clock
+        (:meth:`Peripheral.drop_since`), so a peripheral left behind
+        would keep the entries of a voided step.
+        """
+        if cycle <= self.cycle:
+            return
+        self.cycle = cycle
+        for peripheral in self.peripherals.values():
+            peripheral.now = cycle
+
     def step(self):
         """One monitored step. Returns (record, violation_or_None)."""
         monitor = self.monitor

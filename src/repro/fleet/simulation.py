@@ -217,7 +217,7 @@ class FleetSimulation:
                 device.bus.load_bytes(int(applied["target"]),
                                       bytes.fromhex(applied["payload"]))
         if record.last_seen is not None:
-            device.cycle = max(device.cycle, record.last_seen)
+            device.advance_clock(record.last_seen)
         link = self.transport.link(record.device_id)
         self.devices[record.device_id] = device
         self.agents[record.device_id] = DeviceAgent(record.device_id, device,

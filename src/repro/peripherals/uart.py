@@ -45,7 +45,7 @@ class Uart(Peripheral):
         return status
 
     def tick(self, cycles):
-        super().tick(cycles)
+        self.now += cycles  # Peripheral.tick, inlined: runs every step
         while self._rx_schedule and self._rx_schedule[0][0] <= self.now:
             _, byte = self._rx_schedule.popleft()
             self._rx_fifo.append(byte & 0xFF)

@@ -140,6 +140,29 @@ class TestDeviceBasics:
         assert logged() == committed
         assert device.reset_count == 2
 
+    @pytest.mark.parametrize("port,name,event,log_attr", VOIDABLE,
+                             ids=[entry[2] for entry in VOIDABLE])
+    def test_voided_step_after_clock_jump_leaves_no_log_entry(
+            self, port, name, event, log_attr):
+        """Regression: a clock jump (fleet resume fast-forwards a rebuilt
+        replica) moves every peripheral clock too, so the very first
+        step after it is voided like any other."""
+        device = build_device(raw_program(GOOD_APP), security="casu")
+        device.advance_clock(1_000_000)
+        device.advance_clock(5)  # never backward
+        assert device.cycle == 1_000_000
+        assert {p.now for p in device.peripherals.values()} == {1_000_000}
+        shellcode = device.layout.dmem.start + 0x40
+        for index, word in enumerate(self._mov_to(port, 0xAA)):
+            device.bus.poke_word(shellcode + 2 * index, word)
+        device.cpu.set_reg(0, shellcode)
+        _record, violation = device.step()
+        assert violation.reason is ViolationReason.W_XOR_X
+        peripheral = device.peripherals[name]
+        assert peripheral.event_values(event) == []
+        if log_attr is not None:
+            assert getattr(peripheral, log_attr) == []
+
     def test_untrusted_violation_port_write_is_voided(self):
         # Under EILID the write itself is the violation.
         device = build_device(raw_program(GOOD_APP), security="eilid")

@@ -262,6 +262,11 @@ class TestSimulationRestart:
                 record.state, record.firmware_version, record.firmware_hash,
                 record.nonce_high_water - NONCE_RESTART_SLACK,
                 record.last_seen)
+            # The replica's clock moved past last_seen, and every
+            # peripheral clock with it.
+            device = restarted.devices[record.device_id]
+            assert device.cycle >= record.last_seen
+            assert {p.now for p in device.peripherals.values()} == {device.cycle}
         results = restarted.attest_all()
         assert all(result.ok for result in results.values())
         for record in restarted.registry:

@@ -167,3 +167,56 @@ def test_seeded_random_in_analyze_passes(tmp_path):
     # random.Random(seed) is fine; .random() on the *instance* is fine
     # too -- only the module-level functions are unseeded.
     assert checker.run_checks(root) == []
+
+
+# ---- rule 4: the broad-except ratchet ---------------------------------------
+
+
+@pytest.mark.parametrize("clause", [
+    "except Exception:",
+    "except Exception as error:",
+    "except (KeyError, Exception):",
+])
+def test_new_broad_except_is_caught(tmp_path, clause):
+    root = _tree(tmp_path, **{
+        "src/repro/thing.py":
+            "def f(g):\n"
+            "    try:\n"
+            "        g()\n"
+            f"    {clause}\n"
+            "        pass\n",
+    })
+    problems = checker.run_checks(root)
+    assert len(problems) == 1
+    assert "src/repro/thing.py:4" in problems[0]
+    assert "0 allowed" in problems[0]
+
+
+def test_allowed_site_passes_and_one_more_is_caught(tmp_path):
+    body = ("def f(g):\n"
+            "    try:\n"
+            "        g()\n"
+            "    except Exception:\n"
+            "        pass\n")
+    assert checker.BROAD_EXCEPT_ALLOWED["src/repro/obs/bus.py"] == 1
+    root = _tree(tmp_path, **{"src/repro/obs/bus.py": body})
+    assert checker.run_checks(root) == []
+    root = _tree(tmp_path, **{"src/repro/obs/bus.py": body + "\n\n" + body})
+    problems = checker.run_checks(root)
+    assert len(problems) == 1
+    assert "src/repro/obs/bus.py:11" in problems[0]
+    assert "lines 4, 11" in problems[0]
+
+
+def test_specific_and_base_handlers_pass(tmp_path):
+    root = _tree(tmp_path, **{
+        "src/repro/thing.py":
+            "def f(g):\n"
+            "    try:\n"
+            "        g()\n"
+            "    except (KeyError, ValueError):\n"
+            "        pass\n"
+            "    except BaseException:\n"
+            "        raise\n",
+    })
+    assert checker.run_checks(root) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST-based repo invariant checker (CI-required lint).
 
-Enforces three codebase contracts no general-purpose linter knows
+Enforces four codebase contracts no general-purpose linter knows
 about:
 
 1. **event kinds are closed** -- every literal event kind passed to an
@@ -17,6 +17,10 @@ about:
    enumeration and the static analyzer must not consult wall-clock time
    or unseeded randomness; their outputs are pinned by seeds and
    inputs alone.
+4. **broad exception handlers only shrink** -- a handler that catches
+   ``Exception`` by name (alone or in a tuple) is allowed only at the
+   sites counted in ``BROAD_EXCEPT_ALLOWED``; a new one fails the
+   check, and a removed one should lower its file's count.
 
 Usage: ``python tools/check_invariants.py [--root PATH]``.
 Exits 0 when clean, 1 with one line per violation otherwise.
@@ -35,6 +39,14 @@ DETERMINISTIC_PATHS = (
     "src/repro/faults/sites.py",
     "src/repro/analyze",
 )
+
+# Rule 4 ratchet: file -> handlers allowed to catch ``Exception``.
+BROAD_EXCEPT_ALLOWED = {
+    "src/repro/__init__.py": 1,  # package version lookup
+    "src/repro/isa/encode.py": 2,  # operand helpers -> EncodingError
+    "src/repro/obs/bus.py": 1,  # a failing subscriber is counted
+    "src/repro/serve/pump.py": 1,  # drain: the campaign future reports
+}
 
 _EMIT_RECEIVERS = {"events", "log"}
 _APPROVED_PRODUCERS = {"envelope", "to_dict", "to_json_doc"}
@@ -199,12 +211,38 @@ def check_deterministic_paths(root: Path) -> list:
     return problems
 
 
+def _catches_exception(handler) -> bool:
+    caught = handler.type
+    names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+    return any(isinstance(name, ast.Name) and name.id == "Exception"
+               for name in names)
+
+
+def check_broad_excepts(root: Path) -> list:
+    """Rule 4: ``except Exception`` only at the counted sites."""
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        lines = sorted(node.lineno for node in ast.walk(_parse(path))
+                       if isinstance(node, ast.ExceptHandler)
+                       and node.type is not None
+                       and _catches_exception(node))
+        allowed = BROAD_EXCEPT_ALLOWED.get(rel, 0)
+        if len(lines) > allowed:
+            problems.append(
+                f"{rel}:{lines[allowed]}: {len(lines)} handler(s) catch "
+                f"Exception (lines {', '.join(map(str, lines))}), "
+                f"{allowed} allowed; catch the specific error instead")
+    return problems
+
+
 def run_checks(root: Path) -> list:
     kinds = load_event_kinds(root)
     problems = []
     problems += check_event_kinds(root, kinds)
     problems += check_cli_envelopes(root)
     problems += check_deterministic_paths(root)
+    problems += check_broad_excepts(root)
     return problems
 
 
