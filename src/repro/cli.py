@@ -1393,10 +1393,14 @@ def main(argv=None):
     add_json(p_serve_run)
     p_serve_run.set_defaults(func=_cmd_serve_run)
 
+    from repro.persist import PersistError
+
     try:
         args = parser.parse_args(argv)
         return args.func(args) or 0
-    except _UsageError as error:
+    except (_UsageError, PersistError) as error:
+        # A foreign line in a store or event file is bad input, like a
+        # bad flag: one error line, not a traceback.
         print(f"eilid: error: {error}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -395,21 +395,14 @@ class RolloutCampaign:
             payloads = [[self._shard_doc(record_to_dict, device_id)
                          for device_id in batch] for batch in batches]
             for shard_doc in pool.map(func, repeat(context), payloads):
-                if isinstance(shard_doc, list):
-                    # Pre-metrics shard tasks return a bare outcome
-                    # list; accept it (no worker metrics to merge).
-                    shard_outcomes = shard_doc
-                else:
-                    # The wire format's other half: the worker's
-                    # per-batch MetricsRegistry snapshot folds into
-                    # the parent registry, its spans re-rooted under
-                    # this wave so thread and process backends report
-                    # identical totals and one causal tree.
-                    METRICS.merge(shard_doc.get("metrics"),
-                                  reroot_to=wave_span)
-                    shard_outcomes = shard_doc["outcomes"]
+                # The wire format's other half: the worker's per-batch
+                # MetricsRegistry snapshot folds into the parent
+                # registry, its spans re-rooted under this wave so
+                # thread and process backends report identical totals
+                # and one causal tree.
+                METRICS.merge(shard_doc.get("metrics"), reroot_to=wave_span)
                 outcomes.extend(self._merge_shard_outcome(doc)
-                                for doc in shard_outcomes)
+                                for doc in shard_doc["outcomes"])
         else:
             for batch_outcomes in pool.map(
                     lambda batch: self._run_batch(batch, wave_span), batches):

@@ -1,8 +1,6 @@
 """Durable verifier state: pluggable persistence for the registry.
 
-The registry docstring always promised to "stay a plain data structure
-that a later PR can persist or shard without touching the wire logic";
-this module is that persistence.  A :class:`RegistryStore` snapshots
+A :class:`RegistryStore` snapshots
 :class:`~repro.fleet.registry.DeviceRecord` documents -- including the
 freshness counters the replay defences depend on (``nonce_high_water``,
 monotonic ``last_seen``) -- plus one fleet-level *meta* document (the
@@ -11,17 +9,18 @@ restarted simulation can fast-forward its device replicas).
 
 Three backends, one contract:
 
-* :class:`MemoryStore`  -- dicts; the default, zero I/O.
-* :class:`JsonlStore`   -- an append-only JSON-lines log; every save is
-  one appended line, loads fold the log last-wins, ``close()`` compacts.
-  Crash-friendly: a torn final line is ignored, everything before it
-  survives.
+* :class:`MemoryStore`  -- the keyed state (last write wins per
+  device); the default, zero I/O.
+* :class:`JsonlStore`   -- the same state plus its append log: every
+  save is one appended line, loads fold the log last-wins, and the log
+  compacts itself.
 * :class:`SqliteStore`  -- one table per document kind, upserts inside
   a transaction that ``flush()`` commits (campaigns flush per wave).
 
-``open_store(path)`` picks a backend from the path: ``None`` /
-``":memory:"`` -> memory, ``.db`` / ``.sqlite`` / ``.sqlite3`` ->
-SQLite, anything else -> JSON lines.
+How the files live on disk -- the suffix rule :func:`open_store`
+applies, torn tails, the typed error for a foreign line, fsync points,
+atomic compaction -- is :mod:`repro.persist`'s, shared with the event
+log.
 
 Record documents are also the process-shard wire format: campaign
 workers receive ``record_to_dict`` snapshots, rebuild their shard's
@@ -29,12 +28,12 @@ devices, and ship mutated documents back for the parent to merge --
 the store and the shard protocol deliberately share one codec.
 """
 
+import itertools
 import json
-import os
-import sqlite3
 import threading
 from typing import Dict, Optional
 
+from repro import persist
 from repro.casu.update import UpdateKey
 from repro.fleet.registry import DeviceRecord, FleetError, Lifecycle
 from repro.snapshot import WIRE_VERSION
@@ -113,7 +112,7 @@ def record_from_dict(doc: dict) -> DeviceRecord:
 # ---- the backend contract --------------------------------------------------
 
 
-class RegistryStore:
+class RegistryStore(persist.Handle):
     """Persistence contract the registry talks to.
 
     One document per device (last write wins) plus one meta document.
@@ -135,24 +134,12 @@ class RegistryStore:
     def save_meta(self, meta: dict):
         raise NotImplementedError
 
-    def flush(self):
-        pass
-
-    def close(self):
-        self.flush()
-
-    # Context-manager sugar so scripts can `with open_store(...) as s:`.
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
 
 class MemoryStore(RegistryStore):
     """Dict-backed store: the process-local default, zero I/O.
 
+    Holds the keyed state the JSONL store folds its log into: one
+    document per device (last write wins) plus the meta document.
     Round-trips through the same document codec as the durable
     backends, so swapping a path in changes durability and nothing
     else.
@@ -161,86 +148,9 @@ class MemoryStore(RegistryStore):
     backend = "memory"
 
     def __init__(self):
+        self._lock = threading.RLock()  # JsonlStore compacts mid-save
         self._records: Dict[str, dict] = {}
         self._meta: dict = {}
-
-    def load_records(self) -> Dict[str, dict]:
-        return {device_id: dict(doc)
-                for device_id, doc in self._records.items()}
-
-    def save_record(self, doc: dict):
-        self._records[doc["device_id"]] = dict(doc)
-
-    def load_meta(self) -> dict:
-        return json.loads(json.dumps(self._meta)) if self._meta else {}
-
-    def save_meta(self, meta: dict):
-        self._meta = json.loads(json.dumps(meta))
-
-
-class JsonlStore(RegistryStore):
-    """Append-only JSON-lines log; loads fold last-wins.
-
-    Every ``save_record`` appends one ``{"kind": "record", ...}`` line;
-    ``save_meta`` appends a ``{"kind": "meta", ...}`` line.  A crash can
-    only tear the final line, which load() skips, so the store is as
-    durable as its last flushed write.  ``compact()`` rewrites the
-    file to one line per live document; it runs on close, at open, and
-    live -- mid-session, whenever redundancy crosses
-    ``COMPACT_FACTOR`` -- so a verifier that re-saves its records every
-    wave for weeks never grows an unbounded log.
-    """
-
-    backend = "jsonl"
-
-    # Compact when the log holds this many times more lines than live
-    # documents.  Checked at open (long-lived append-only verifiers --
-    # cron heartbeats -- rarely close cleanly, so open is the reliable
-    # hook) AND after every append, so a long-running session (many
-    # campaigns over one open store) keeps its log bounded instead of
-    # growing until the next restart.
-    COMPACT_FACTOR = 4
-
-    def __init__(self, path: str):
-        self.path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._lock = threading.Lock()
-        self._records, self._meta, self._lines = self._load_file()
-        self._file = open(path, "a", encoding="utf-8")
-        if self._over_threshold():
-            self.compact()
-
-    def _over_threshold(self) -> bool:
-        live = len(self._records) + (1 if self._meta else 0)
-        return self._lines > max(64, self.COMPACT_FACTOR * live)
-
-    def _load_file(self):
-        records: Dict[str, dict] = {}
-        meta: dict = {}
-        lines = 0
-        if not os.path.exists(self.path):
-            return records, meta, lines
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail from a kill mid-append
-                lines += 1
-                kind = doc.pop("kind", "record")
-                if kind == "meta":
-                    meta = doc
-                elif "device_id" in doc:
-                    records[doc["device_id"]] = doc
-        return records, meta, lines
-
-    def _append(self, doc: dict):
-        self._file.write(json.dumps(doc, sort_keys=True) + "\n")
-        self._lines += 1
 
     def load_records(self) -> Dict[str, dict]:
         with self._lock:
@@ -250,64 +160,83 @@ class JsonlStore(RegistryStore):
     def save_record(self, doc: dict):
         with self._lock:
             self._records[doc["device_id"]] = dict(doc)
-            self._append({"kind": "record", **doc})
-            # Push the line to the kernel immediately: a SIGKILL then
-            # loses nothing (only power loss needs the fsync that
-            # flush() adds).  Nonce high-water saves rely on this.
-            self._file.flush()
-            # Live compaction: a long-running verifier re-saves the
-            # same records every sweep/wave; once redundancy crosses
-            # the threshold, rewrite in place instead of waiting for a
-            # close/reopen that may never come.
-            if self._over_threshold():
-                self._compact_locked()
+            self._log("record", doc)
 
     def load_meta(self) -> dict:
         with self._lock:
-            return dict(self._meta)
+            return json.loads(json.dumps(self._meta))
 
     def save_meta(self, meta: dict):
         with self._lock:
             self._meta = json.loads(json.dumps(meta))
-            self._append({"kind": "meta", **self._meta})
-            if self._over_threshold():
-                self._compact_locked()
+            self._log("meta", self._meta)
+
+    def _log(self, kind: str, doc: dict):
+        """Called under the lock after every save; the JSONL store
+        appends the document to its file here."""
+
+
+def _is_store_line(doc: dict) -> bool:
+    return doc.get("kind") == "meta" or "device_id" in doc
+
+
+class JsonlStore(MemoryStore):
+    """The memory store plus its append log (:mod:`repro.persist`).
+
+    Every save appends one ``{"kind": "record"|"meta", ...}`` line, and
+    opening folds the log last-wins.  ``compact()`` rewrites the file
+    to one line per live document: on close, and whenever the log holds
+    ``COMPACT_FACTOR`` times more lines than live documents -- checked
+    at open (cron-driven verifiers rarely close cleanly) and after
+    every append (a long session never grows an unbounded log).
+    """
+
+    backend = "jsonl"
+    COMPACT_FACTOR = 4
+
+    def __init__(self, path: str):
+        super().__init__()
+        self.path = path
+        docs = persist.load_jsonl(path, _is_store_line)
+        for doc in docs:
+            if doc.pop("kind", "record") == "meta":
+                self._meta = doc
+            else:
+                self._records[doc["device_id"]] = doc
+        self._lines = len(docs)
+        self._file = persist.JsonlFile(path)
+        if self._over_threshold():
+            self.compact()
+
+    def _live(self) -> int:
+        return len(self._records) + (1 if self._meta else 0)
+
+    def _over_threshold(self) -> bool:
+        return self._lines > max(64, self.COMPACT_FACTOR * self._live())
+
+    def _log(self, kind: str, doc: dict):
+        # The line reaches the kernel before save_record returns, so a
+        # SIGKILL loses no nonce high-water save.
+        self._file.append({"kind": kind, **doc})
+        self._lines += 1
+        if self._over_threshold():
+            self.compact()
 
     def flush(self):
         with self._lock:
-            if self._file.closed:
-                return
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            self._file.sync()
 
     def compact(self):
-        """Rewrite the log to one line per live document.
-
-        Atomically: the compacted log is written to a sibling temp
-        file and os.replace()'d over the live one, so a kill at any
-        point leaves either the full old log or the full new one --
-        never a truncated registry (the records ARE the device keys).
-        """
+        """Rewrite the log to one line per live document, atomically:
+        a kill never leaves a truncated registry (the records ARE the
+        device keys)."""
         with self._lock:
-            self._compact_locked()
-
-    def _compact_locked(self):
-        if self._file.closed:
-            return
-        self._file.close()
-        temp_path = self.path + ".compact"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            if self._meta:
-                handle.write(json.dumps(
-                    {"kind": "meta", **self._meta}, sort_keys=True) + "\n")
-            for doc in self._records.values():
-                handle.write(json.dumps(
-                    {"kind": "record", **doc}, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, self.path)
-        self._lines = len(self._records) + (1 if self._meta else 0)
-        self._file = open(self.path, "a", encoding="utf-8")
+            if self._file.closed:
+                return
+            meta = [{"kind": "meta", **self._meta}] if self._meta else []
+            self._file.rewrite(itertools.chain(meta, (
+                {"kind": "record", **doc} for doc in self._records.values())))
+            self._lines = self._live()
 
     def close(self):
         if self._file.closed:
@@ -315,6 +244,14 @@ class JsonlStore(RegistryStore):
         self.compact()
         self.flush()
         self._file.close()
+
+
+_SQLITE_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS records ("
+    " device_id TEXT PRIMARY KEY, doc TEXT NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS meta ("
+    " id INTEGER PRIMARY KEY CHECK (id = 0), doc TEXT NOT NULL)",
+)
 
 
 class SqliteStore(RegistryStore):
@@ -330,67 +267,38 @@ class SqliteStore(RegistryStore):
 
     def __init__(self, path: str):
         self.path = path
-        if path != ":memory:":
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-        self._lock = threading.Lock()
-        self._closed = False
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        with self._conn:  # schema setup commits immediately
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS records ("
-                " device_id TEXT PRIMARY KEY, doc TEXT NOT NULL)")
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta ("
-                " id INTEGER PRIMARY KEY CHECK (id = 0), doc TEXT NOT NULL)")
+        self._db = persist.SqliteDb(path, _SQLITE_SCHEMA)
 
     def load_records(self) -> Dict[str, dict]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT device_id, doc FROM records").fetchall()
+        rows = self._db.execute("SELECT device_id, doc FROM records")
         return {device_id: json.loads(doc) for device_id, doc in rows}
 
     def save_record(self, doc: dict):
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO records (device_id, doc) VALUES (?, ?) "
-                "ON CONFLICT(device_id) DO UPDATE SET doc = excluded.doc",
-                (doc["device_id"], json.dumps(doc, sort_keys=True)))
+        self._db.execute(
+            "INSERT INTO records (device_id, doc) VALUES (?, ?) "
+            "ON CONFLICT(device_id) DO UPDATE SET doc = excluded.doc",
+            (doc["device_id"], json.dumps(doc, sort_keys=True)))
 
     def load_meta(self) -> dict:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT doc FROM meta WHERE id = 0").fetchone()
-        return json.loads(row[0]) if row else {}
+        rows = self._db.execute("SELECT doc FROM meta WHERE id = 0")
+        return json.loads(rows[0][0]) if rows else {}
 
     def save_meta(self, meta: dict):
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO meta (id, doc) VALUES (0, ?) "
-                "ON CONFLICT(id) DO UPDATE SET doc = excluded.doc",
-                (json.dumps(meta, sort_keys=True),))
+        self._db.execute(
+            "INSERT INTO meta (id, doc) VALUES (0, ?) "
+            "ON CONFLICT(id) DO UPDATE SET doc = excluded.doc",
+            (json.dumps(meta, sort_keys=True),))
 
     def flush(self):
-        with self._lock:
-            if not self._closed:
-                self._conn.commit()
+        self._db.commit()
 
     def close(self):
-        with self._lock:
-            if self._closed:
-                return
-            self._conn.commit()
-            self._conn.close()
-            self._closed = True
-
-
-SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
+        self._db.close()
 
 
 def open_store(path: Optional[str]) -> RegistryStore:
-    """Pick a backend from *path*: memory, SQLite, or JSON lines."""
-    if path is None or path == ":memory:":
+    """Pick a backend from *path* (the :mod:`repro.persist` suffix rule)."""
+    backend = persist.backend_for(path)
+    if backend == "memory":
         return MemoryStore()
-    if path.endswith(SQLITE_SUFFIXES):
-        return SqliteStore(path)
-    return JsonlStore(path)
+    return SqliteStore(path) if backend == "sqlite" else JsonlStore(path)

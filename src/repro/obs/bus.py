@@ -1,7 +1,6 @@
 """Live event fan-out: the in-process bus and cross-process tails.
 
-PR 6 made the event log queryable after the fact; this module makes
-it watchable while it happens, two ways:
+Two ways to watch the event log while it happens:
 
 * :class:`EventBus` -- every :class:`~repro.obs.events.EventLog`
   carries one.  ``emit()`` publishes each stored document to the
@@ -13,20 +12,17 @@ it watchable while it happens, two ways:
   layers pay nothing for the capability when nobody is watching.
 
 * Tail cursors -- a *second process* cannot share the bus, but it can
-  follow the durable log file: :func:`open_event_tail` returns a
-  cursor whose ``read()`` yields every newly durable event since the
-  last call, in seq order, exactly once.  The JSONL tail holds a read
-  handle and buffers a torn final line until its newline arrives; the
-  SQLite tail opens the database read-only and sees whatever the
-  writer has committed (``flush()`` -- the same durability points the
-  registry uses).  ``fleet watch --follow`` polls one of these.
+  follow the durable log: :func:`open_event_tail` returns a cursor
+  whose ``read()`` yields every event made durable (``flush()``) since
+  the last call, in seq order, exactly once.  How it reads the file is
+  :mod:`repro.persist`'s.  ``fleet watch --follow`` polls one.
 """
 
 import json
-import os
-import sqlite3
 import threading
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
+
+from repro import persist
 
 __all__ = ["EventBus", "EventTail", "JsonlTail", "SqliteTail",
            "open_event_tail"]
@@ -88,7 +84,12 @@ class EventBus:
                 self.errors += 1
 
 
-class EventTail:
+def is_event(doc: dict) -> bool:
+    """The event-log line rule: an event document carries its ``seq``."""
+    return "seq" in doc
+
+
+class EventTail(persist.Handle):
     """Cursor contract: ``read()`` returns newly durable events once.
 
     ``last_seq`` is the resume token -- persist it and reopen with
@@ -103,59 +104,45 @@ class EventTail:
     def read(self) -> List[dict]:
         raise NotImplementedError
 
-    def close(self):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+    def _deliver(self, docs: Iterable[dict]) -> List[dict]:
+        """The *docs* past ``last_seq`` (a reopen can overlap)."""
+        fresh = []
+        for doc in docs:
+            if doc["seq"] > self.last_seq:
+                self.last_seq = doc["seq"]
+                fresh.append(doc)
+        return fresh
 
 
 class JsonlTail(EventTail):
     """Follow a JSONL event log by file position.
 
-    The writer appends whole lines and flushes per event, but a read
-    can still race the write syscall: any trailing partial line is
-    buffered here until its newline shows up in a later read, so a
-    torn tail is delivered exactly once -- complete -- or not yet.
+    A partial final line waits for its newline, so a line that races
+    the writer's syscall is delivered whole, once, or not yet; lines
+    parse by the loaders' rule (:func:`repro.persist.parse_line`).
     """
 
     def __init__(self, path: str, since_seq: int = 0):
         super().__init__(path, since_seq)
         self._handle = None
         self._partial = ""
+        self._lines = 0
 
     def read(self) -> List[dict]:
         if self._handle is None:
             try:
-                self._handle = open(self.path, "r", encoding="utf-8")
+                self._handle = open(self.path, encoding="utf-8")
             except FileNotFoundError:
-                return []  # writer has not created the log yet
-        chunk = self._handle.read()
-        if not chunk and not self._partial:
-            return []
-        buffered = self._partial + chunk
-        lines = buffered.split("\n")
-        self._partial = lines.pop()  # "" on a newline-terminated read
+                return []  # the writer has not created the log yet
+        lines = (self._partial + self._handle.read()).split("\n")
+        self._partial = lines.pop()  # "" after a newline-terminated read
         docs = []
         for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a torn line the writer abandoned (kill)
-            if not isinstance(doc, dict) or "seq" not in doc:
-                continue
-            if doc["seq"] <= self.last_seq:
-                continue  # already delivered (reopen overlap)
-            self.last_seq = doc["seq"]
-            docs.append(doc)
-        return docs
+            self._lines += 1
+            doc = persist.parse_line(line, is_event, self.path, self._lines)
+            if doc is not None:
+                docs.append(doc)
+        return self._deliver(docs)
 
     def close(self):
         if self._handle is not None:
@@ -164,56 +151,31 @@ class JsonlTail(EventTail):
 
 
 class SqliteTail(EventTail):
-    """Follow a SQLite event log read-only, by indexed seq ranges.
-
-    Opens lazily with ``mode=ro`` so the tail can never take a write
-    lock from the campaign; a locked or not-yet-initialised database
-    reads as "nothing new yet" and the next poll retries.
-    """
+    """Follow a SQLite event log by indexed seq ranges, over a
+    read-only :class:`~repro.persist.SqliteReader`."""
 
     def __init__(self, path: str, since_seq: int = 0):
         super().__init__(path, since_seq)
-        self._conn = None
+        self._reader = persist.SqliteReader(path)
 
     def read(self) -> List[dict]:
-        if self._conn is None:
-            if not os.path.exists(self.path):
-                return []
-            try:
-                self._conn = sqlite3.connect(
-                    f"file:{self.path}?mode=ro", uri=True,
-                    check_same_thread=False)
-            except sqlite3.OperationalError:
-                return []
-        try:
-            rows = self._conn.execute(
-                "SELECT doc FROM events WHERE seq > ? ORDER BY seq",
-                (self.last_seq,)).fetchall()
-        except sqlite3.OperationalError:
-            return []  # writer holds the lock or schema not created yet
-        docs = []
-        for (raw,) in rows:
-            doc = json.loads(raw)
-            if doc["seq"] <= self.last_seq:
-                continue
-            self.last_seq = doc["seq"]
-            docs.append(doc)
-        return docs
+        rows = self._reader.query(
+            "SELECT doc FROM events WHERE seq > ? ORDER BY seq",
+            (self.last_seq,))
+        return self._deliver(json.loads(raw) for (raw,) in rows)
 
     def close(self):
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        self._reader.close()
 
 
 def open_event_tail(path: Optional[str], since_seq: int = 0) -> EventTail:
-    """A follow cursor for the durable log at *path* (suffix dispatch
-    mirrors :func:`~repro.obs.events.open_event_log`)."""
-    from repro.obs.events import SQLITE_SUFFIXES, ObsError
+    """A follow cursor for the durable log at *path* (the
+    :mod:`repro.persist` suffix rule, like ``open_event_log``)."""
+    backend = persist.backend_for(path)
+    if backend == "memory":
+        from repro.obs.events import ObsError
 
-    if path is None or path == ":memory:":
         raise ObsError("only durable event logs (jsonl/sqlite paths) can "
                        "be tailed from another process")
-    if path.endswith(SQLITE_SUFFIXES):
-        return SqliteTail(path, since_seq=since_seq)
-    return JsonlTail(path, since_seq=since_seq)
+    tail = SqliteTail if backend == "sqlite" else JsonlTail
+    return tail(path, since_seq=since_seq)

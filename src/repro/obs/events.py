@@ -20,14 +20,14 @@ wall-clock, ``campaign`` tags events belonging to one rollout
 Three backends, one contract, mirroring ``fleet/store.py``:
 
 * :class:`MemoryEventLog` -- a list; the default, zero I/O.
-* :class:`JsonlEventLog`  -- one appended JSON line per event; loads
-  tolerate a torn final line.
+* :class:`JsonlEventLog`  -- the same list plus one appended JSON
+  line per event.
 * :class:`SqliteEventLog` -- one indexed table, inserts batched until
   ``flush()`` commits.
 
-``open_event_log(path)`` picks the backend exactly like
-``open_store``: ``None``/``":memory:"`` -> memory, ``.db``/
-``.sqlite``/``.sqlite3`` -> SQLite, anything else -> JSON lines.
+How the files live on disk -- the suffix rule :func:`open_event_log`
+applies, torn tails, the typed error for a foreign line, fsync points
+-- is :mod:`repro.persist`'s, shared with the registry store.
 
 Durability rides the registry's: :meth:`~repro.fleet.registry.
 FleetRegistry.flush` flushes its event log in the same call, so every
@@ -36,14 +36,13 @@ event-log durability point too.
 """
 
 import json
-import os
-import sqlite3
 import threading
 import time
 from typing import Dict, Iterable, List, Optional
 
+from repro import persist
 from repro.errors import ReproError
-from repro.obs.bus import EventBus
+from repro.obs.bus import EventBus, is_event
 
 __all__ = [
     "EVENT_KINDS",
@@ -79,12 +78,12 @@ EVENT_KINDS = (
 )
 
 
-class EventLog:
+class EventLog(persist.Handle):
     """Backend contract + the query layer shared by every backend.
 
-    Subclasses implement ``_append`` (store one document), ``_loaded``
-    (the documents found at open, for seq recovery) and optionally
-    override :meth:`events` with an indexed scan.  ``flush()`` must be
+    Subclasses implement ``_append`` (store one document) and
+    ``_scan`` (every document in seq order), and may override
+    :meth:`events` with an indexed scan.  ``flush()`` must be
     a durability point: every event emitted before it survives a kill
     after it.
     """
@@ -135,21 +134,6 @@ class EventLog:
 
     def _append(self, doc: dict):
         raise NotImplementedError
-
-    # ---- lifecycle -------------------------------------------------------
-
-    def flush(self):
-        pass
-
-    def close(self):
-        self.flush()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
     # ---- scanning --------------------------------------------------------
 
@@ -341,13 +325,12 @@ class MemoryEventLog(EventLog):
         return self._events
 
 
-class JsonlEventLog(EventLog):
-    """One JSON line per event; a torn final line is skipped on load.
+class JsonlEventLog(MemoryEventLog):
+    """The memory log plus its append file (:mod:`repro.persist`).
 
-    The log is append-only by nature (events never rewrite), so unlike
-    the registry's JsonlStore there is nothing to compact -- growth is
-    the point.  Writes push to the kernel immediately; ``flush()``
-    adds the fsync that makes a durability point.
+    Opening loads the file and resumes its seq.  Events never rewrite,
+    so unlike the registry's JsonlStore there is nothing to compact --
+    growth is the point.
     """
 
     backend = "jsonl"
@@ -355,50 +338,34 @@ class JsonlEventLog(EventLog):
     def __init__(self, path: str):
         super().__init__()
         self.path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._events = self._load_file()
+        self._events = persist.load_jsonl(path, is_event)
         if self._events:
             self._seq = self._events[-1]["seq"]
-        self._file = open(path, "a", encoding="utf-8")
-
-    def _load_file(self) -> List[dict]:
-        events: List[dict] = []
-        if not os.path.exists(self.path):
-            return events
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail from a kill mid-append
-                if isinstance(doc, dict) and "seq" in doc:
-                    events.append(doc)
-        return events
+        self._file = persist.JsonlFile(path)
 
     def _append(self, doc: dict):
         self._events.append(doc)
-        self._file.write(json.dumps(doc, sort_keys=True) + "\n")
-        self._file.flush()
-
-    def _scan(self):
-        return self._events
+        self._file.append(doc)
 
     def flush(self):
         with self._lock:
-            if self._file.closed:
-                return
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            self._file.sync()
 
     def close(self):
         if self._file.closed:
             return
         self.flush()
         self._file.close()
+
+
+_SQLITE_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS events ("
+    " seq INTEGER PRIMARY KEY, ts REAL NOT NULL,"
+    " kind TEXT NOT NULL, device TEXT, campaign TEXT,"
+    " doc TEXT NOT NULL)",
+    "CREATE INDEX IF NOT EXISTS events_device ON events (device)",
+    "CREATE INDEX IF NOT EXISTS events_campaign ON events (campaign)",
+)
 
 
 class SqliteEventLog(EventLog):
@@ -414,28 +381,11 @@ class SqliteEventLog(EventLog):
     def __init__(self, path: str):
         super().__init__()
         self.path = path
-        if path != ":memory:":
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-        self._closed = False
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        with self._conn:  # schema setup commits immediately
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS events ("
-                " seq INTEGER PRIMARY KEY, ts REAL NOT NULL,"
-                " kind TEXT NOT NULL, device TEXT, campaign TEXT,"
-                " doc TEXT NOT NULL)")
-            self._conn.execute(
-                "CREATE INDEX IF NOT EXISTS events_device"
-                " ON events (device)")
-            self._conn.execute(
-                "CREATE INDEX IF NOT EXISTS events_campaign"
-                " ON events (campaign)")
-        row = self._conn.execute("SELECT MAX(seq) FROM events").fetchone()
-        self._seq = int(row[0]) if row and row[0] is not None else 0
+        self._db = persist.SqliteDb(path, _SQLITE_SCHEMA)
+        self._seq = self._db.execute("SELECT MAX(seq) FROM events")[0][0] or 0
 
     def _append(self, doc: dict):
-        self._conn.execute(
+        self._db.execute(
             "INSERT INTO events (seq, ts, kind, device, campaign, doc)"
             " VALUES (?, ?, ?, ?, ?, ?)",
             (doc["seq"], doc["ts"], doc["kind"], doc["device"],
@@ -456,38 +406,22 @@ class SqliteEventLog(EventLog):
         query = "SELECT doc FROM events"
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY seq"
-        with self._lock:
-            rows = self._conn.execute(query, params).fetchall()
+        rows = self._db.execute(query + " ORDER BY seq", params)
         return [json.loads(row[0]) for row in rows]
 
     def _scan(self):
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT doc FROM events ORDER BY seq").fetchall()
-        return [json.loads(row[0]) for row in rows]
+        return self.events()
 
     def flush(self):
-        with self._lock:
-            if not self._closed:
-                self._conn.commit()
+        self._db.commit()
 
     def close(self):
-        with self._lock:
-            if self._closed:
-                return
-            self._conn.commit()
-            self._conn.close()
-            self._closed = True
-
-
-SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
+        self._db.close()
 
 
 def open_event_log(path: Optional[str]) -> EventLog:
-    """Pick a backend from *path*: memory, SQLite, or JSON lines."""
-    if path is None or path == ":memory:":
+    """Pick a backend from *path* (the :mod:`repro.persist` suffix rule)."""
+    backend = persist.backend_for(path)
+    if backend == "memory":
         return MemoryEventLog()
-    if path.endswith(SQLITE_SUFFIXES):
-        return SqliteEventLog(path)
-    return JsonlEventLog(path)
+    return SqliteEventLog(path) if backend == "sqlite" else JsonlEventLog(path)

@@ -19,18 +19,18 @@ an exposition back into ``{name: [(labels, value), ...]}`` and raises
 :class:`~repro.obs.events.ObsError` on any malformed line -- CI runs
 the export of a real campaign through it as a smoke check.
 
-:func:`write_snapshot` writes either format atomically (tmp +
-rename), which is what long campaigns use for periodic dumps: a
-scraper never reads a half-written file.
+:func:`write_snapshot` writes either format atomically
+(:func:`repro.persist.atomic_write`), which is what long campaigns use
+for periodic dumps: a scraper never reads a half-written file.
 """
 
 import json
-import os
 import re
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import ObsError
+from repro.persist import atomic_write
 
 __all__ = ["to_prometheus", "to_json_doc", "parse_prometheus",
            "write_snapshot", "EXPORT_FORMATS"]
@@ -133,9 +133,4 @@ def write_snapshot(path: str, snapshot: dict, fmt: str = "json",
     else:
         payload = json.dumps(to_json_doc(snapshot, source=source),
                              indent=2, sort_keys=True) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-    os.replace(tmp_path, path)
+    atomic_write(path, (payload,))

@@ -17,6 +17,7 @@ The properties this file guards:
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -45,6 +46,12 @@ def make_store(kind, tmp_path, name="fleet"):
     if kind == "jsonl":
         return JsonlStore(str(tmp_path / f"{name}.jsonl"))
     return SqliteStore(str(tmp_path / f"{name}.db"))
+
+
+def _kill(store):
+    """SIGKILL stand-in: drop a SQLite store's connection uncommitted."""
+    store._db._conn.close()
+    store._db._conn = None
 
 
 # ---- the codec and the backends --------------------------------------------
@@ -104,7 +111,14 @@ class TestStoreBackends:
             handle.write('{"kind": "record", "device_id": "t')  # kill mid-append
         again = JsonlStore(store.path)
         assert list(again.load_records()) == ["d"]
-        again.close()
+        # The first save after the torn tail must not be glued to the
+        # fragment (and lost with it on the next load).
+        again.save_record(dict(doc, device_id="c"))
+        again.flush()
+        again._file.close()  # kill again: no compaction on close
+        final = JsonlStore(store.path)
+        assert sorted(final.load_records()) == ["c", "d"]
+        final.close()
 
     def test_jsonl_compaction_folds_the_log(self, tmp_path):
         store = make_store("jsonl", tmp_path)
@@ -158,6 +172,37 @@ class TestStoreBackends:
         store.close()
         again = JsonlStore(store.path)
         assert again.load_records()["d"]["firmware_version"] == 1000
+        again.close()
+
+    def test_jsonl_concurrent_saves_survive_live_compaction(self, tmp_path):
+        # Pump threads save records concurrently; live compaction runs
+        # inside a save while other savers wait on the store's lock.
+        store = make_store("jsonl", tmp_path)
+        docs = [record_to_dict(DeviceRecord(f"d{n}", UpdateKey.derive(f"d{n}"),
+                                            "TI MSP430", "casu"))
+                for n in range(6)]
+
+        def saver(doc):
+            for version in range(300):
+                store.save_record(dict(doc, firmware_version=version))
+
+        threads = [threading.Thread(target=saver, args=(doc,)) for doc in docs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        store.flush()
+        store._file.close()  # kill: no compaction on close
+        again = JsonlStore(store.path)
+        versions = {device_id: doc["firmware_version"]
+                    for device_id, doc in again.load_records().items()}
+        assert versions == {f"d{n}": 299 for n in range(6)}
         again.close()
 
     def test_jsonl_live_compaction_during_multi_campaign_run(self, tmp_path):
@@ -292,8 +337,7 @@ class TestSimulationRestart:
         fleet.attest_all([victim])  # saves, flushes -> committed
         committed = fleet.registry.get(victim).nonce_high_water
         fleet.session(victim).attest()  # consumed but never saved
-        fleet.registry.store._conn.close()  # kill: rollback to `committed`
-        fleet.registry.store._closed = True
+        _kill(fleet.registry.store)  # rollback to `committed`
 
         restarted = FleetSimulation(size=1, store=path)
         floor = restarted.registry.get(victim).nonce_high_water
@@ -301,8 +345,7 @@ class TestSimulationRestart:
         # The reservation is committed write-ahead at load: a SECOND
         # crash-without-commit still restarts above this run's base,
         # never reissuing its challenges.
-        restarted.registry.store._conn.close()
-        restarted.registry.store._closed = True
+        _kill(restarted.registry.store)
         again = FleetSimulation(size=1, store=path)
         assert again.registry.get(victim).nonce_high_water \
             >= floor + NONCE_RESTART_SLACK

@@ -220,3 +220,45 @@ def test_specific_and_base_handlers_pass(tmp_path):
             "        raise\n",
     })
     assert checker.run_checks(root) == []
+
+
+# ---- rule 5: one module knows the disk --------------------------------------
+
+
+@pytest.mark.parametrize("snippet, needle", [
+    ("import sqlite3\n", "import sqlite3"),
+    ("import sqlite3 as db\n", "import sqlite3"),
+    ("from sqlite3 import connect\n", "import sqlite3"),
+    ("import os\n\ndef f(h):\n    os.fsync(h.fileno())\n", "os.fsync"),
+    ("import os\n\ndef f(a, b):\n    os.replace(a, b)\n", "os.replace"),
+    ("from os import replace\n", "os.replace"),
+])
+def test_new_disk_site_outside_persist_is_caught(tmp_path, snippet, needle):
+    root = _tree(tmp_path, **{"src/repro/fleet/thing.py": snippet})
+    problems = checker.run_checks(root)
+    assert len(problems) == 1
+    assert problems[0].startswith("src/repro/fleet/thing.py:")
+    assert needle in problems[0]
+
+
+def test_persist_module_may_touch_the_disk(tmp_path):
+    body = ("import os\n"
+            "import sqlite3\n\n\n"
+            "def f(handle, a, b):\n"
+            "    os.fsync(handle.fileno())\n"
+            "    os.replace(a, b)\n"
+            "    return sqlite3.connect(a)\n")
+    assert checker.PERSIST_MODULE == "src/repro/persist.py"
+    root = _tree(tmp_path, **{"src/repro/persist.py": body})
+    assert checker.run_checks(root) == []
+
+
+def test_other_os_calls_pass(tmp_path):
+    root = _tree(tmp_path, **{
+        "src/repro/thing.py":
+            "import os\n\n\n"
+            "def f(path):\n"
+            "    os.makedirs(path, exist_ok=True)\n"
+            "    return os.path.exists(path)\n",
+    })
+    assert checker.run_checks(root) == []

@@ -125,6 +125,11 @@ class TestEventLog:
         assert [doc["kind"] for doc in again.events()] == ["enroll"]
         assert again.emit("attest", device="d1", ok=True)["seq"] == 2
         again.close()
+        # The event written after the torn tail survives the reopen.
+        final = JsonlEventLog(log.path)
+        assert [doc["seq"] for doc in final.events()] == [1, 2]
+        assert final.emit("attest", device="d1", ok=True)["seq"] == 3
+        final.close()
 
     def test_sqlite_batches_until_flush(self, tmp_path):
         path = str(tmp_path / "events.db")

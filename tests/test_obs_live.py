@@ -203,6 +203,22 @@ class TestEventTails:
         assert [d["seq"] for d in docs] == [1]  # delivered once, whole
         tail.close()
 
+    def test_event_after_an_abandoned_torn_line_is_delivered(self, tmp_path):
+        path = str(tmp_path / "killed.jsonl")
+        log = open_event_log(path)
+        log.emit("enroll", device="d1")
+        log.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 2, "kind": "att')  # kill mid-append
+        tail = open_event_tail(path)
+        assert [d["seq"] for d in tail.read()] == [1]
+        again = open_event_log(path)  # the restarted writer
+        again.emit("attest", device="d1", ok=True)
+        again.flush()
+        assert [d["seq"] for d in tail.read()] == [2]
+        tail.close()
+        again.close()
+
     @pytest.mark.parametrize("suffix", TAIL_SUFFIXES)
     def test_concurrent_writer_seq_monotonic_no_gaps(self, tmp_path, suffix):
         """A reader thread polling while the writer appends sees every

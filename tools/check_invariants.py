@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST-based repo invariant checker (CI-required lint).
 
-Enforces four codebase contracts no general-purpose linter knows
+Enforces five codebase contracts no general-purpose linter knows
 about:
 
 1. **event kinds are closed** -- every literal event kind passed to an
@@ -21,6 +21,10 @@ about:
    ``Exception`` by name (alone or in a tuple) is allowed only at the
    sites counted in ``BROAD_EXCEPT_ALLOWED``; a new one fails the
    check, and a removed one should lower its file's count.
+5. **one module knows the disk** -- ``import sqlite3``, ``os.fsync``
+   and ``os.replace`` appear only in ``PERSIST_MODULE``
+   (src/repro/persist.py), the append-log primitive every store, log
+   and tail is built on.
 
 Usage: ``python tools/check_invariants.py [--root PATH]``.
 Exits 0 when clean, 1 with one line per violation otherwise.
@@ -47,6 +51,10 @@ BROAD_EXCEPT_ALLOWED = {
     "src/repro/obs/bus.py": 1,  # a failing subscriber is counted
     "src/repro/serve/pump.py": 1,  # drain: the campaign future reports
 }
+
+# Rule 5: the only module that may touch SQLite, fsync or rename.
+PERSIST_MODULE = "src/repro/persist.py"
+_PERSIST_OS_CALLS = {"fsync", "replace"}
 
 _EMIT_RECEIVERS = {"events", "log"}
 _APPROVED_PRODUCERS = {"envelope", "to_dict", "to_json_doc"}
@@ -236,6 +244,41 @@ def check_broad_excepts(root: Path) -> list:
     return problems
 
 
+def _disk_sites(tree):
+    """(line, what) for every sqlite3 import and os.fsync/os.replace use."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sqlite3":
+                    yield node.lineno, "import sqlite3"
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "sqlite3":
+                yield node.lineno, "import sqlite3"
+            elif node.module == "os":
+                for alias in node.names:
+                    if alias.name in _PERSIST_OS_CALLS:
+                        yield node.lineno, f"os.{alias.name}"
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in _PERSIST_OS_CALLS
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "os"):
+            yield node.lineno, f"os.{node.attr}"
+
+
+def check_persistence_sites(root: Path) -> list:
+    """Rule 5: SQLite, fsync and rename live only in the persist module."""
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == PERSIST_MODULE:
+            continue
+        for line, what in sorted(_disk_sites(_parse(path))):
+            problems.append(
+                f"{rel}:{line}: {what} outside {PERSIST_MODULE}; "
+                f"build on the repro.persist primitive instead")
+    return problems
+
+
 def run_checks(root: Path) -> list:
     kinds = load_event_kinds(root)
     problems = []
@@ -243,6 +286,7 @@ def run_checks(root: Path) -> list:
     problems += check_cli_envelopes(root)
     problems += check_deterministic_paths(root)
     problems += check_broad_excepts(root)
+    problems += check_persistence_sites(root)
     return problems
 
 
